@@ -93,6 +93,31 @@ class BlockBitmapIndex:
         offset = start_block - byte0 * 8
         return window[:, offset : offset + (stop_block - start_block)].astype(bool)
 
+    def any_present(
+        self, values: np.ndarray, start_block: int, stop_block: int
+    ) -> np.ndarray:
+        """Per block in the window: is *any* of ``values`` present?
+
+        Equal to ``chunk_presence(values, start, stop).any(axis=0)`` but ORs
+        the packed bytes first and unpacks one row, so its cost scales with
+        ``len(values) × span / 8`` bytes rather than bits.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        if not 0 <= start_block <= stop_block <= self.num_blocks:
+            raise ValueError(
+                f"window [{start_block}, {stop_block}) outside [0, {self.num_blocks})"
+            )
+        if values.size == 0 or stop_block == start_block:
+            return np.zeros(stop_block - start_block, dtype=bool)
+        if values.min() < 0 or values.max() >= self.cardinality:
+            raise ValueError("values out of range")
+        byte0 = start_block >> 3
+        byte1 = -(-stop_block // 8)
+        packed = np.bitwise_or.reduce(self._packed[values, byte0:byte1], axis=0)
+        offset = start_block - byte0 * 8
+        bits = np.unpackbits(packed)
+        return bits[offset : offset + (stop_block - start_block)].view(bool)
+
     def first_present(
         self, values: np.ndarray, start_block: int, stop_block: int
     ) -> np.ndarray:

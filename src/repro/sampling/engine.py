@@ -88,6 +88,16 @@ class BlockSamplingEngine:
         Optional prepared pair-code column
         (:func:`~repro.parallel.kernels.build_pair_codes`) enabling the
         fused kernel; must have one entry per row.
+    candidate_totals:
+        Optional per-candidate row counts under ``row_filter``, shape
+        ``(num_candidates,)``.  The prepared query's ground truth already
+        holds them (``exact_counts.sum(axis=1)``); passing them keeps
+        construction O(candidates).  ``None`` falls back to one bincount
+        pass over the whole candidate column.
+
+    Per-operation host cost scales with the blocks a job reads: the scan
+    order is computed per window rather than materialized, and nothing
+    else touches the full table once ``candidate_totals`` is supplied.
     """
 
     def __init__(
@@ -107,6 +117,7 @@ class BlockSamplingEngine:
         profiler=None,
         kernel: str = "auto",
         codes: np.ndarray | None = None,
+        candidate_totals: np.ndarray | None = None,
     ) -> None:
         if window_blocks < 1:
             raise ValueError(f"window_blocks must be >= 1, got {window_blocks}")
@@ -147,12 +158,25 @@ class BlockSamplingEngine:
             kernel=kernel,
         )
 
-        z_column = shuffled.table.column(candidate_attribute).astype(np.int64, copy=False)
-        if row_filter is not None:
-            z_column = z_column[row_filter]
-        self._totals = np.bincount(z_column, minlength=self._num_candidates).astype(
-            np.int64
-        )
+        if candidate_totals is None:
+            z_column = shuffled.table.column(candidate_attribute).astype(
+                np.int64, copy=False
+            )
+            if row_filter is not None:
+                z_column = z_column[row_filter]
+            candidate_totals = np.bincount(z_column, minlength=self._num_candidates)
+        else:
+            candidate_totals = np.asarray(candidate_totals)
+            if candidate_totals.shape != (self._num_candidates,):
+                raise ValueError(
+                    f"candidate_totals must have shape ({self._num_candidates},), "
+                    f"got {candidate_totals.shape}"
+                )
+            if not np.issubdtype(candidate_totals.dtype, np.integer):
+                raise ValueError("candidate_totals must hold integer counts")
+            if candidate_totals.size and candidate_totals.min() < 0:
+                raise ValueError("candidate_totals must be non-negative")
+        self._totals = candidate_totals.astype(np.int64)
         self._delivered = np.zeros(self._num_candidates, dtype=np.int64)
         self._consumed = np.zeros(max(self.layout.num_blocks, 1), dtype=bool)
         if self.layout.num_blocks == 0:
@@ -162,14 +186,9 @@ class BlockSamplingEngine:
             start_block = shuffled.random_start_block(rng or np.random.default_rng())
         if self.layout.num_blocks and not 0 <= start_block < self.layout.num_blocks:
             raise ValueError(f"start_block {start_block} out of range")
-        num_blocks = self.layout.num_blocks
-        self._scan_order = (
-            np.concatenate(
-                [np.arange(start_block, num_blocks), np.arange(0, start_block)]
-            )
-            if num_blocks
-            else np.empty(0, dtype=np.int64)
-        )
+        # The scan visits blocks start, start+1, …, wrapping at the end;
+        # ``_scan_pos`` counts positions along that order.
+        self._start_block = start_block
         self._scan_pos = 0
 
     # -------------------------------------------------------- protocol surface
@@ -202,11 +221,11 @@ class BlockSamplingEngine:
 
     def _window(self) -> np.ndarray:
         """Next window of candidate (non-consumed) blocks in scan order."""
-        num_blocks = self._scan_order.size
+        num_blocks = self.layout.num_blocks
         if num_blocks == 0:
             return np.empty(0, dtype=np.int64)
         stop = min(self._scan_pos + self.window_blocks, num_blocks)
-        window = self._scan_order[self._scan_pos : stop]
+        window = (self._start_block + np.arange(self._scan_pos, stop)) % num_blocks
         self._scan_pos = stop % num_blocks
         return window[~self._consumed[window]]
 

@@ -119,6 +119,11 @@ class AnyActiveLookaheadPolicy:
     a time, so each candidate costs ``⌈span/512⌉`` cache-line fetches plus a
     per-bit scan — and the marking happens on the lookahead thread while the
     I/O manager drains the previous batch (Figure 7).
+
+    That per-candidate cost is what the simulated clock and ``probes``
+    charge.  The host computes the same mark vector more cheaply: it ORs
+    the active candidates' packed window bytes and unpacks one row
+    (:meth:`~repro.bitmap.BlockBitmapIndex.any_present`).
     """
 
     name = "any_active_lookahead"
@@ -141,8 +146,7 @@ class AnyActiveLookaheadPolicy:
             )
         lo = int(blocks.min())
         hi = int(blocks.max()) + 1
-        presence = index.chunk_presence(active_values, lo, hi)
-        read_mask = presence[:, blocks - lo].any(axis=0)
+        read_mask = index.any_present(active_values, lo, hi)[blocks - lo]
         span = hi - lo
         lines = -(-span // CACHELINE_BITS)
         return PolicyDecision(

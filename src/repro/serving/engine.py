@@ -272,6 +272,10 @@ class ServingEngine:
         self.admission = admission
         self.metrics = metrics
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: Unfinished entries only: finalization drops an entry here (the
+        #: caller keeps its :class:`TrackedJob`, and ``_fresh`` hands it to
+        #: :meth:`take_finished`), so a long-running server neither pins
+        #: finished jobs' engine arrays nor rescans them on every pick.
         self._entries: list[TrackedJob] = []
         self._fresh: list[TrackedJob] = []
         self._order = 0
@@ -331,25 +335,27 @@ class ServingEngine:
     # -------------------------------------------------------------- inspection
 
     def _runnable(self) -> list[TrackedJob]:
-        return [e for e in self._entries if e.outcome is None]
+        """A copy of the unfinished entries: finalizing while iterating
+        removes entries from ``_entries``."""
+        return list(self._entries)
 
     def _dispatchable(self) -> list[TrackedJob]:
         """Runnable entries not currently mid-step (eligible for pick)."""
-        return [e for e in self._entries if e.outcome is None and not e.in_flight]
+        return [e for e in self._entries if not e.in_flight]
 
     @property
     def pending(self) -> int:
         """Jobs submitted but not yet finalized (including in-flight steps)."""
-        return len(self._runnable())
+        return len(self._entries)
 
     @property
     def in_flight(self) -> int:
         """Entries whose current step is between pick and settle."""
-        return sum(1 for e in self._entries if e.outcome is None and e.in_flight)
+        return sum(1 for e in self._entries if e.in_flight)
 
     @property
     def idle(self) -> bool:
-        return not self._runnable()
+        return not self._entries
 
     # ------------------------------------------------------------- finalization
 
@@ -366,6 +372,7 @@ class ServingEngine:
             deadline_ns=entry.deadline_ns,
             error=error,
         )
+        self._entries.remove(entry)
         self._fresh.append(entry)
         if self.tracer.enabled:
             if finished > entry.last_progress_ns:

@@ -142,7 +142,9 @@ def make_engine(
     resumable stepper on a shared clock.  ``backend`` routes the engine's
     block delivery (serial by default; sharded when opted in); ``kernel``
     selects the counting kernel, and the prepared query's ``pair_codes``
-    (when built) ride along to enable the fused one."""
+    (when built) ride along to enable the fused one.  Candidate totals
+    come from the prepared ground truth, so the build costs O(candidates),
+    not O(rows)."""
     if approach == "fastmatch":
         policy = AnyActiveLookaheadPolicy()
         window = config.lookahead
@@ -169,6 +171,7 @@ def make_engine(
         profiler=profiler,
         kernel=kernel,
         codes=prepared.pair_codes,
+        candidate_totals=prepared.exact_counts.sum(axis=1),
     )
 
 

@@ -100,6 +100,75 @@ class TestBlockBitmapIndex:
         np.testing.assert_array_equal(got, truth)
 
 
+
+class TestAnyPresent:
+    """``any_present`` ORs packed bytes; it must equal the unpacked-matrix
+    reduction it replaces, window for window."""
+
+    @staticmethod
+    def reference(idx, values, lo, hi):
+        return idx.chunk_presence(values, lo, hi).any(axis=0)
+
+    def test_matches_chunk_presence_on_random_indexes(self):
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            cardinality = int(rng.integers(1, 40))
+            # Low-density columns leave many zero bits to OR together.
+            column = rng.integers(0, cardinality, size=int(rng.integers(1, 3000)))
+            idx = BlockBitmapIndex.build(column, cardinality, int(rng.integers(1, 20)))
+            for _ in range(10):
+                lo = int(rng.integers(0, idx.num_blocks + 1))
+                hi = int(rng.integers(lo, idx.num_blocks + 1))
+                values = rng.choice(
+                    cardinality, size=int(rng.integers(0, cardinality + 1)), replace=False
+                )
+                got = idx.any_present(values, lo, hi)
+                assert got.dtype == bool and got.shape == (hi - lo,)
+                np.testing.assert_array_equal(got, self.reference(idx, values, lo, hi))
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0, 8), (8, 16), (0, 16), (3, 13), (5, 6), (7, 9), (15, 16), (9, 10), (0, 1)],
+    )
+    def test_aligned_unaligned_and_single_block_windows(self, column, lo, hi):
+        idx = BlockBitmapIndex.build(column, 11, block_size=64)  # 16 blocks
+        truth = brute_force_presence(column, 11, 64)
+        for values in (np.array([1]), np.array([2, 9, 4]), np.arange(11)):
+            got = idx.any_present(values, lo, hi)
+            np.testing.assert_array_equal(got, self.reference(idx, values, lo, hi))
+            np.testing.assert_array_equal(got, truth[values][:, lo:hi].any(axis=0))
+
+    def test_sparse_values_leave_blocks_unmarked(self):
+        column = np.zeros(40, dtype=int)
+        column[[3, 17, 38]] = [1, 2, 1]
+        idx = BlockBitmapIndex.build(column, 3, block_size=2)  # 20 blocks
+        np.testing.assert_array_equal(
+            np.flatnonzero(idx.any_present(np.array([1, 2]), 0, 20)), [1, 8, 19]
+        )
+        np.testing.assert_array_equal(
+            np.flatnonzero(idx.any_present(np.array([2]), 4, 12)), [4]
+        )
+
+    def test_empty_values_and_empty_window(self, column):
+        idx = BlockBitmapIndex.build(column, 11, block_size=64)
+        none = idx.any_present(np.array([], dtype=int), 2, 9)
+        np.testing.assert_array_equal(none, np.zeros(7, dtype=bool))
+        assert idx.any_present(np.array([0, 1]), 4, 4).shape == (0,)
+
+    def test_validation(self, column):
+        idx = BlockBitmapIndex.build(column, 11, block_size=64)
+        with pytest.raises(ValueError, match="outside"):
+            idx.any_present(np.array([0]), 5, 3)
+        with pytest.raises(ValueError, match="outside"):
+            idx.any_present(np.array([0]), -1, 3)
+        with pytest.raises(ValueError, match="outside"):
+            idx.any_present(np.array([0]), 0, idx.num_blocks + 1)
+        with pytest.raises(ValueError, match="out of range"):
+            idx.any_present(np.array([0, 11]), 0, 4)
+        with pytest.raises(ValueError, match="out of range"):
+            idx.any_present(np.array([-1]), 0, 4)
+
+
 class TestDensityMap:
     def test_block_counts_match_brute_force(self, column):
         dm = DensityMap.build(column, 11, block_size=64)

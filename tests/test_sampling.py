@@ -11,6 +11,8 @@ from repro.sampling import (
     BlockSamplingEngine,
     ScanAllPolicy,
 )
+from repro.core import HistSimConfig
+from repro.query import Equals, HistogramQuery, InRange
 from repro.storage import (
     CategoricalAttribute,
     ColumnTable,
@@ -18,7 +20,9 @@ from repro.storage import (
     Schema,
     shuffle_table,
 )
-from repro.system import SimulatedClock
+from repro.storage.cost_model import CACHELINE_BITS
+from repro.system import PreparedQuery, SimulatedClock
+from repro.system import make_engine as make_system_engine
 
 
 def make_world(n=6000, candidates=8, groups=4, block_size=50, seed=0):
@@ -41,7 +45,9 @@ def make_world(n=6000, candidates=8, groups=4, block_size=50, seed=0):
     return shuffled, index
 
 
-def make_engine(shuffled, index, policy, window=16, seed=1, row_filter=None):
+def make_engine(
+    shuffled, index, policy, window=16, seed=1, row_filter=None, candidate_totals=None
+):
     clock = SimulatedClock()
     engine = BlockSamplingEngine(
         shuffled=shuffled,
@@ -54,6 +60,7 @@ def make_engine(shuffled, index, policy, window=16, seed=1, row_filter=None):
         rng=np.random.default_rng(seed),
         window_blocks=window,
         row_filter=row_filter,
+        candidate_totals=candidate_totals,
     )
     return engine, clock
 
@@ -116,6 +123,151 @@ class TestPolicies:
             )
             assert not d.read_mask.any()
             assert d.mark_cost_ns == 0.0
+
+
+def unpacked_lookahead(index, blocks, active, cost_model, resident):
+    """The lookahead decision computed from the unpacked presence matrix."""
+    lo, hi = int(blocks.min()), int(blocks.max()) + 1
+    presence = index.chunk_presence(active, lo, hi)
+    span = hi - lo
+    return (
+        presence[:, blocks - lo].any(axis=0),
+        int(active.size) * (-(-span // CACHELINE_BITS)),
+        cost_model.lookahead_mark_cost(active.size, span, resident),
+    )
+
+
+class TestLookaheadIdentity:
+    """Packed-OR marking decides, probes and charges exactly what the
+    unpacked per-candidate matrix does."""
+
+    def test_matches_unpacked_formulation(self):
+        rng = np.random.default_rng(9)
+        cm = CostModel()
+        policy = AnyActiveLookaheadPolicy()
+        for seed in range(4):
+            shuffled, index = make_world(
+                n=int(rng.integers(500, 20_000)),
+                candidates=int(rng.integers(2, 30)),
+                block_size=int(rng.integers(1, 60)),
+                seed=seed,
+            )
+            num_blocks = shuffled.num_blocks
+            for _ in range(25):
+                # Windows as the engine forms them: a contiguous run of the
+                # scan order, possibly wrapped, with consumed blocks removed.
+                start = int(rng.integers(0, num_blocks))
+                width = int(rng.integers(1, min(num_blocks, 700) + 1))
+                blocks = (start + np.arange(width)) % num_blocks
+                blocks = blocks[rng.random(width) < rng.uniform(0.3, 1.0)]
+                if blocks.size == 0:
+                    continue
+                active = rng.choice(
+                    index.cardinality,
+                    size=int(rng.integers(1, index.cardinality + 1)),
+                    replace=False,
+                )
+                for resident in (True, False):
+                    d = policy.select(index, blocks, active, cm, resident)
+                    mask, probes, cost = unpacked_lookahead(
+                        index, blocks, active, cm, resident
+                    )
+                    np.testing.assert_array_equal(d.read_mask, mask)
+                    assert d.read_mask.dtype == bool
+                    assert d.probes == probes
+                    assert d.mark_cost_ns == cost
+                    assert d.overlaps_io
+
+
+class TestScanOrder:
+    def test_windows_walk_from_start_and_wrap_once_per_pass(self):
+        shuffled, index = make_world(n=6000, block_size=50)  # 120 blocks
+        for start in (0, 1, 57, 119):
+            engine = BlockSamplingEngine(
+                shuffled, "z", "x", index, CostModel(), SimulatedClock(),
+                window_blocks=16, start_block=start,
+            )
+            visited = np.concatenate([engine._window() for _ in range(8)])
+            expected = np.concatenate([np.arange(start, 120), np.arange(0, start)])
+            np.testing.assert_array_equal(visited, expected)
+            # The next pass starts over at the same block.
+            assert engine._window()[0] == start
+
+
+class TestCandidateTotals:
+    def test_prepared_totals_equal_filtered_bincount(self):
+        rng = np.random.default_rng(2)
+        n, candidates = 20_000, 9
+        schema = Schema(
+            (
+                CategoricalAttribute("z", tuple(f"z{i}" for i in range(candidates))),
+                CategoricalAttribute("x", tuple(f"x{i}" for i in range(5))),
+                CategoricalAttribute("w", tuple(f"w{i}" for i in range(4))),
+            )
+        )
+        z = rng.integers(0, candidates, size=n)
+        z[z == 7] = 8  # one candidate with no rows at all
+        table = ColumnTable(
+            schema,
+            {"z": z, "x": rng.integers(0, 5, size=n), "w": rng.integers(0, 4, size=n)},
+        )
+        config = HistSimConfig(k=2, epsilon=0.2, delta=0.05)
+        for predicate in (None, Equals("w", 1), InRange("x", 1, 3)):
+            query = (
+                HistogramQuery("z", "x", k=2)
+                if predicate is None
+                else HistogramQuery("z", "x", k=2, predicate=predicate)
+            )
+            prepared = PreparedQuery.prepare(table, query, np.random.default_rng(4))
+            column = prepared.shuffled.table.column("z")
+            if prepared.row_filter is not None:
+                column = column[prepared.row_filter]
+            expected = np.bincount(column, minlength=candidates)
+            for approach in ("fastmatch", "syncmatch", "scanmatch"):
+                engine = make_system_engine(
+                    prepared, approach, config, CostModel(), SimulatedClock(),
+                    np.random.default_rng(0),
+                )
+                np.testing.assert_array_equal(engine.candidate_rows(), expected)
+                assert engine.candidate_rows().dtype == np.int64
+                assert engine.total_rows == int(expected.sum())
+
+    def test_supplied_totals_match_the_column_fallback(self):
+        shuffled, index = make_world(n=4000)
+        row_filter = shuffled.table.column("x") != 1
+        for mask in (None, row_filter):
+            column = shuffled.table.column("z")
+            truth = np.bincount(column if mask is None else column[mask], minlength=8)
+            supplied, _ = make_engine(
+                shuffled, index, AnyActiveLookaheadPolicy(), row_filter=mask,
+                candidate_totals=truth.astype(np.int32),
+            )
+            fallback, _ = make_engine(
+                shuffled, index, AnyActiveLookaheadPolicy(), row_filter=mask
+            )
+            np.testing.assert_array_equal(
+                supplied.candidate_rows(), fallback.candidate_rows()
+            )
+            assert supplied.candidate_rows().dtype == np.int64
+            needed = np.full(8, 150.0)
+            np.testing.assert_array_equal(
+                supplied.sample_until(needed), fallback.sample_until(needed)
+            )
+
+    @pytest.mark.parametrize(
+        "totals",
+        [
+            np.zeros(7, dtype=np.int64),
+            np.zeros((8, 1), dtype=np.int64),
+            np.array([5, 5, 5, 5, -1, 5, 5, 5]),
+            np.full(8, 10.0),
+        ],
+        ids=["short", "2-d", "negative", "float"],
+    )
+    def test_invalid_totals_rejected(self, totals):
+        shuffled, index = make_world(n=1000)
+        with pytest.raises(ValueError, match="candidate_totals"):
+            make_engine(shuffled, index, ScanAllPolicy(), candidate_totals=totals)
 
 
 class TestEngineProtocol:

@@ -361,3 +361,43 @@ class TestPickDispatchSettle:
         assert entry.outcome.status == "cancelled"
         assert entry.outcome.steps == 0
         assert len(engine.take_finished()) == 1
+
+
+class TestFinishedEntriesReleased:
+    """Finalization drops the engine's reference to an entry, so a server
+    that runs for many requests holds only its unfinished jobs."""
+
+    def test_many_jobs_drain_to_an_empty_entry_list(self):
+        clock = SimulatedClock()
+        engine = ServingEngine(clock, policy="rr")
+        tracked = [
+            engine.submit(FakeJob(f"j{i}", work=1 + i % 3, clock=clock))
+            for i in range(500)
+        ]
+        outcomes = engine.run_until_idle()
+        assert engine._entries == []
+        assert engine.pending == 0 and engine.idle
+        assert [o.name for o in outcomes] == [f"j{i}" for i in range(500)]
+        assert all(o.status == "completed" for o in outcomes)
+        # Callers keep their handles, with the outcome stamped on them.
+        assert all(t.outcome is o for t, o in zip(tracked, outcomes))
+        assert [t.steps for t in tracked] == [1 + i % 3 for i in range(500)]
+
+    def test_entries_drop_as_each_job_finalizes(self):
+        clock = SimulatedClock()
+        engine = ServingEngine(clock, policy="fifo")
+        engine.submit(FakeJob("short", work=1, clock=clock))
+        engine.submit(FakeJob("expiring", work=5, clock=clock), deadline_ns=15.0)
+        engine.submit(FakeJob("long", work=3, clock=clock))
+        assert engine.step()
+        assert [e.name for e in engine._entries] == ["expiring", "long"]
+        engine.step()  # "expiring" runs past its deadline and settles partial
+        assert [e.name for e in engine._entries] == ["long"]
+        assert engine.cancel_pending() == 1
+        assert engine._entries == []
+        statuses = {e.name: e.outcome.status for e in engine.take_finished()}
+        assert statuses == {
+            "short": "completed",
+            "expiring": "partial",
+            "long": "cancelled",
+        }

@@ -423,6 +423,39 @@ class TestSessionLifecycle:
         assert session.closed
 
 
+class TestWarmJobBuild:
+    def test_warm_make_job_does_not_read_the_candidate_column(
+        self, table, monkeypatch
+    ):
+        """Building a job on a warm cache costs O(candidates): candidate
+        totals come from the prepared ground truth, not a column pass."""
+        session = MatchSession(table)
+        queries = [
+            make_queries(1)[0],
+            HistogramQuery("product", "age", k=3, predicate=Equals("channel", 1),
+                           name="store"),
+        ]
+        for query in queries:
+            session.make_job(query, seed=3)  # cold: prepares the artifacts
+        reads = []
+        original = ColumnTable.column
+
+        def counting_column(self, name):
+            reads.append(name)
+            return original(self, name)
+
+        monkeypatch.setattr(ColumnTable, "column", counting_column)
+        for query in queries:
+            for approach in ("fastmatch", "syncmatch", "scanmatch"):
+                job = session.make_job(query, approach=approach, seed=3)
+                np.testing.assert_array_equal(
+                    job.engine.candidate_rows(),
+                    job.prepared.exact_counts.sum(axis=1),
+                )
+        assert "product" not in reads
+        session.close()
+
+
 class TestPreparedQueryReuse:
     """Satellite: prepared-artifact reuse yields identical MatchResults."""
 
